@@ -662,7 +662,7 @@ SEARCH_WORKLOAD = "dijkstra"
 def _synthetic_search_space():
     """A >10^6-point space the surrogate bench searches under budget.
 
-    Ten axes over cache geometry, core shape and latencies — including a
+    Fourteen axes over cache geometry, core shape and latencies — including a
     coupled depth/frequency axis and an associativity axis conditional on
     L2 size — sized so exhaustive enumeration is out of the question
     (the point of :class:`~repro.search.space.SearchSpace`'s indexed,

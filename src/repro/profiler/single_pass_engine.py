@@ -30,6 +30,8 @@ across backends (and across the artifact cache).
 
 from __future__ import annotations
 
+import weakref
+
 from repro.accel import BaseGeometry, BasePass, Kernels, L2Pass, get_kernels
 from repro.branch.predictors import make_predictor
 from repro.branch.profiler import BranchProfile, profile_control_stream
@@ -70,7 +72,9 @@ class SinglePassEngine:
         """The engine attached to ``trace`` (created and cached on demand)."""
         engine = getattr(trace, "_single_pass_engine", None)
         if engine is None:
-            engine = cls(trace)
+            # The engine points back weakly: a dropped trace is freed with
+            # its engine at once, not at the next full garbage collection.
+            engine = cls(weakref.proxy(trace))
             trace._single_pass_engine = engine
         return engine
 

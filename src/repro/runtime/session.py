@@ -101,6 +101,9 @@ class SessionStats:
         return {event: int(self._family.labels(event=event).value)
                 for event in SESSION_EVENTS}
 
+    def record_cache_corruption(self) -> None:
+        self.cache_corruptions += 1
+
 
 def _session_event_property(event: str) -> property:
     def _get(self) -> int:
@@ -163,8 +166,10 @@ class Session:
         self.health = PoolHealth(self.metrics)
         #: Containment budgets (tests and the chaos drill override this).
         self.retry_policy = RetryPolicy()
-        # Corrupt cache entries self-heal to misses; count each one.
-        self.cache.on_corruption = self._record_cache_corruption
+        # Corrupt cache entries self-heal to misses; count each one.  The
+        # hook holds the stats, not the session, so a dropped session is
+        # freed at once rather than at the next full garbage collection.
+        self.cache.on_corruption = self.stats.record_cache_corruption
         #: The persistent worker pool (created on first sharded map).
         self._pool = None
         self._pool_finalizer = None
@@ -566,9 +571,6 @@ class Session:
         if self.jobs <= 1 or len(items) <= 1:
             return [fn(self, item) for item in items]
         return resilient_map(self, fn, items, strict=False)
-
-    def _record_cache_corruption(self) -> None:
-        self.stats.cache_corruptions += 1
 
     def summary(self) -> dict:
         """Counters for the CLI's end-of-run session report."""

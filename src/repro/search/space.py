@@ -15,31 +15,37 @@ large to expand: an ordered list of axes over a base
 
 Points are addressed by a single integer index with the leftmost axis
 most significant — the same row-major order ``itertools.product`` (and
-the sweep grammar) uses — so ``space.spec(i)`` is deterministic,
-:meth:`~SearchSpace.cardinality` is exact without enumerating anything,
-and :meth:`~SearchSpace.sample` draws reproducible seeded subsets of
+the sweep grammar) uses — so ``space.spec(i)`` is deterministic and
+:meth:`~SearchSpace.sample` draws reproducible seeded subsets of
 million-point spaces in O(sample size).
+
+Decoding is compiled once per space.  The first
+:meth:`~SearchSpace.cardinality`, :meth:`~SearchSpace.overrides` or
+:meth:`~SearchSpace.index_of` call parses every ``when`` clause and builds
+one table of subtree sizes keyed on (axis, values of the fields that
+axis's and later axes' ``when`` clauses read).  Only those fields decide
+how many points lie below a choice, so the table stays small however
+large the space is.  After that, ``cardinality()`` is O(1), and
+``overrides(i)`` and ``index_of`` are one mixed-radix walk over the axes
+(Knuth, TAOCP 4A §7.2.1.1): O(axes), never O(points).
 """
 
 from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from repro.api.spec import MachineSpec
+from repro.api.sweep import _freeze
 from repro.machine import SIZE_FIELDS, parse_size
 from repro.search.objectives import Constraint
 
 #: Version stamped into serialized spaces.
 SPACE_SCHEMA_VERSION = 1
-
-
-def _freeze(value):
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze(item) for item in value)
-    return value
 
 
 @dataclass(frozen=True)
@@ -81,18 +87,6 @@ class SpaceAxis:
                 f"got {self.when!r}"
             )
         return condition
-
-    def active(self, bindings: Mapping[str, object]) -> bool:
-        """Whether the axis opens up under the earlier axes' assignment."""
-        condition = self.condition
-        if condition is None:
-            return True
-        if condition.path not in bindings:
-            raise ValueError(
-                f"axis {self.key!r}: 'when' tests {condition.path!r}, which "
-                "no earlier axis or base override assigns"
-            )
-        return condition.admits_value(bindings[condition.path])
 
     def overrides_for(self, value) -> dict[str, object]:
         """The machine overrides one chosen value contributes."""
@@ -169,94 +163,36 @@ class SearchSpace:
     # ------------------------------------------------------------------
     # Counting and indexing.
     # ------------------------------------------------------------------
-    def _base_bindings(self) -> dict[str, object]:
-        """Field values ``when`` clauses may read before any axis binds them."""
-        machine = self.base.resolve()
-        bindings: dict[str, object] = {}
-        for axis in self.axes:
-            condition = axis.condition
-            if condition is not None and condition.path != "area_proxy":
-                bindings.setdefault(condition.path,
-                                    getattr(machine, condition.path))
-        return bindings
-
-    def _referenced(self) -> frozenset[str]:
-        """Fields any ``when`` clause reads (the memo key vocabulary)."""
-        names = set()
-        for axis in self.axes:
-            condition = axis.condition
-            if condition is not None:
-                names.add(condition.path)
-        return frozenset(names)
-
-    def _choices(self, axis: SpaceAxis,
-                 bindings: Mapping[str, object]) -> tuple:
-        """The axis's effective choices under the bindings so far.
-
-        An inactive conditional axis contributes exactly one choice —
-        ``None`` — meaning "no override, keep the base value".
-        """
-        return axis.values if axis.active(bindings) else (None,)
-
-    def _count_from(self, axis_index: int, bindings: dict[str, object],
-                    memo: dict) -> int:
-        if axis_index == len(self.axes):
-            return 1
-        referenced = self._referenced()
-        key = (axis_index,
-               tuple(sorted((name, bindings[name]) for name in referenced
-                            if name in bindings)))
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        axis = self.axes[axis_index]
-        total = 0
-        for value in self._choices(axis, bindings):
-            child = bindings
-            if value is not None and referenced & set(axis.fields):
-                child = {**bindings, **{k: v
-                                        for k, v in axis.overrides_for(value).items()
-                                        if k in referenced}}
-            total += self._count_from(axis_index + 1, child, memo)
-        memo[key] = total
-        return total
+    @cached_property
+    def _compiled(self) -> "_CompiledSpace":
+        return _CompiledSpace(self)
 
     def cardinality(self) -> int:
         """Exact number of points, computed without enumeration."""
-        if not self.axes:
-            return 1
-        return self._count_from(0, self._base_bindings(), {})
+        return self._compiled.cardinality
 
     def __len__(self) -> int:
         return self.cardinality()
 
     def overrides(self, index: int) -> dict[str, object]:
         """Decode a point index into its machine overrides (no name)."""
-        cardinality = self.cardinality()
-        if not 0 <= index < cardinality:
+        compiled = self._compiled
+        if not 0 <= index < compiled.cardinality:
             raise IndexError(
                 f"point index {index} out of range for a space of "
-                f"{cardinality} points"
+                f"{compiled.cardinality} points"
             )
-        memo: dict = {}
-        bindings = self._base_bindings()
-        referenced = self._referenced()
         overrides: dict[str, object] = {}
-        remaining = index
-        for axis_index, axis in enumerate(self.axes):
-            for value in self._choices(axis, bindings):
-                child = dict(bindings)
-                if value is not None:
-                    assignment = axis.overrides_for(value)
-                    child.update({k: v for k, v in assignment.items()
-                                  if k in referenced})
-                subtree = self._count_from(axis_index + 1, child, memo)
-                if remaining < subtree:
-                    if value is not None:
-                        overrides.update(axis.overrides_for(value))
-                    bindings = child
-                    break
-                remaining -= subtree
+        key = compiled.root
+        for names, level in zip(compiled.fields, compiled.levels):
+            choices, starts, children = level[key]
+            position = bisect_right(starts, index) - 1
+            index -= starts[position]
+            value = choices[position]
+            if value is not None:
+                overrides.update(zip(names, value if len(names) > 1
+                                     else (value,)))
+            key = children[position]
         return overrides
 
     def index_of(self, overrides: Mapping[str, object]) -> int:
@@ -264,41 +200,33 @@ class SearchSpace:
         of :meth:`overrides`); :class:`KeyError` if no point matches —
         e.g. a value not on its axis, or a conditional axis's field bound
         while the axis is inactive."""
-        memo: dict = {}
-        bindings = self._base_bindings()
-        referenced = self._referenced()
+        compiled = self._compiled
         index = 0
-        for axis_index, axis in enumerate(self.axes):
-            if all(field_name in overrides for field_name in axis.fields):
-                target = (overrides[axis.fields[0]] if len(axis.fields) == 1
-                          else tuple(overrides[field_name]
-                                     for field_name in axis.fields))
+        key = compiled.root
+        for axis, names, level in zip(self.axes, compiled.fields,
+                                      compiled.levels):
+            if all(name in overrides for name in names):
+                target = (overrides[names[0]] if len(names) == 1
+                          else tuple(overrides[name] for name in names))
             else:
                 target = None
-            found = False
-            for value in self._choices(axis, bindings):
-                child = dict(bindings)
-                if value is not None:
-                    child.update({k: v
-                                  for k, v in axis.overrides_for(value).items()
-                                  if k in referenced})
-                if value == target:
-                    bindings = child
-                    found = True
-                    break
-                index += self._count_from(axis_index + 1, child, memo)
-            if not found:
+            choices, starts, children = level[key]
+            try:
+                position = choices.index(target)
+            except ValueError:
                 raise KeyError(
                     f"no point of this space assigns {target!r} to axis "
                     f"{axis.key!r} under {dict(overrides)!r}"
-                )
+                ) from None
+            index += starts[position]
+            key = children[position]
         return index
 
     def point_name(self, overrides: Mapping[str, object]) -> str | None:
         """Render the name template for one decoded point (if any)."""
         if self.name_template is None:
             return None
-        machine = self.base.resolve()
+        machine = self._compiled.machine
         values: dict[str, object] = {}
         for axis in self.axes:
             for field_name in axis.fields:
@@ -391,3 +319,72 @@ class SearchSpace:
     @classmethod
     def from_json(cls, text: str) -> "SearchSpace":
         return cls.from_dict(json.loads(text))
+
+
+#: Key slot of a field no earlier axis or base value binds (only the
+#: derived ``area_proxy`` can be one).
+_UNBOUND = object()
+
+
+class _CompiledSpace:
+    """The decode tables of one :class:`SearchSpace`, built once.
+
+    ``levels[i]`` maps a key (the values of the fields that the ``when``
+    clauses of axis ``i`` and later axes read) to the node ``(choices,
+    starts, children)``.  ``choices`` are the axis's effective choices,
+    ``(None,)`` (keep the base value) while the axis is inactive.
+    ``starts`` holds the first index below each choice, and ``starts[-1]``
+    is the subtree size.  ``children`` holds the key each choice leads to
+    on the next level.
+    """
+
+    def __init__(self, space: SearchSpace):
+        self.axes = space.axes
+        self.fields = tuple(axis.fields for axis in space.axes)
+        self.machine = space.base.resolve()
+        self.conditions = [axis.condition for axis in space.axes]
+        # live[i]: the fields the when clauses of axes i.. read, in key order.
+        self.live: list[tuple[str, ...]] = [()]
+        for condition in reversed(self.conditions):
+            names = set(self.live[0])
+            if condition is not None:
+                names.add(condition.path)
+            self.live.insert(0, tuple(sorted(names)))
+        self.levels: list[dict[tuple, tuple]] = [{} for _ in space.axes]
+        self.root = tuple(
+            _UNBOUND if name == "area_proxy" else getattr(self.machine, name)
+            for name in self.live[0])
+        self.cardinality = self._size(0, self.root)
+
+    def _size(self, axis_index: int, key: tuple) -> int:
+        """Points below one node, building it (and those under it) first."""
+        if axis_index == len(self.axes):
+            return 1
+        level = self.levels[axis_index]
+        if key not in level:
+            level[key] = self._node(axis_index, key)
+        return level[key][1][-1]
+
+    def _node(self, axis_index: int, key: tuple) -> tuple:
+        axis = self.axes[axis_index]
+        bound = dict(zip(self.live[axis_index], key))
+        condition = self.conditions[axis_index]
+        choices = axis.values
+        if condition is not None:
+            value = bound[condition.path]
+            if value is _UNBOUND:
+                raise ValueError(
+                    f"axis {axis.key!r}: 'when' tests {condition.path!r}, "
+                    "which no earlier axis or base override assigns"
+                )
+            if not condition.admits_value(value):
+                choices = (None,)
+        starts, children = [0], []
+        for value in choices:
+            child = dict(bound)
+            if value is not None:
+                child.update(axis.overrides_for(value))
+            children.append(tuple(child[name]
+                                  for name in self.live[axis_index + 1]))
+            starts.append(starts[-1] + self._size(axis_index + 1, children[-1]))
+        return choices, tuple(starts), tuple(children)

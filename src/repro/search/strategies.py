@@ -234,7 +234,7 @@ class _FeatureMap:
 
     def __init__(self, space: SearchSpace):
         self._encoders: list[tuple[str, Callable[[object], list[float]]]] = []
-        base = space.base.resolve()
+        self._base = base = space.base.resolve()
         for axis in space.axes:
             for position, field_name in enumerate(axis.fields):
                 observed = sorted(
@@ -281,10 +281,10 @@ class _FeatureMap:
 
     def encode(self, space: SearchSpace, index: int) -> tuple[float, ...]:
         overrides = space.overrides(index)
-        base = space.base.resolve()
         features: list[float] = []
         for field_name, encoder in self._encoders:
-            value = overrides.get(field_name, getattr(base, field_name, None))
+            value = overrides.get(field_name,
+                                  getattr(self._base, field_name, None))
             features.extend(encoder(value))
         return tuple(features)
 
@@ -363,6 +363,8 @@ def surrogate_strategy(driver: SearchDriver, seed: int, batch: int) -> None:
     knn_k = 5
     explore_weight = 0.35
     pool_size = min(max(64 * batch, 512), 4096)
+    #: Features of evaluated points (the training rows), encoded once.
+    encoded: dict[int, tuple[float, ...]] = {}
 
     initial = min(driver.budget_left, max(2 * batch, 8))
     driver.evaluate(space.sample(initial, seed,
@@ -376,8 +378,11 @@ def surrogate_strategy(driver: SearchDriver, seed: int, batch: int) -> None:
         admitted = driver.admitted() or sorted(driver.evaluated)
         if not admitted:
             break
+        for index in admitted:
+            if index not in encoded:
+                encoded[index] = feature_map.encode(space, index)
         training = [
-            (feature_map.encode(space, index),
+            (encoded[index],
              objective_vector(driver.evaluated[index], driver.objectives))
             for index in admitted
         ]

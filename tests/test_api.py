@@ -384,13 +384,6 @@ class TestRegistriesPlugIn:
         finally:
             WORKLOADS.unregister("tiny_plugin")
 
-    def test_all_builders_shim_warns(self):
-        import repro.workloads.registry as registry
-
-        with pytest.warns(DeprecationWarning, match="_ALL_BUILDERS"):
-            builders = registry._ALL_BUILDERS
-        assert "sha" in builders
-
 
 class TestRequestFiles:
     def test_payload_forms(self):

@@ -9,9 +9,12 @@ deterministically, byte-identical across job counts.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro import api
+from repro.bench import _synthetic_search_space
 from repro.dse import DesignSpaceExplorer, default_design_space, reduced_design_space
 from repro.machine import area_proxy
 from repro.runtime.session import Session
@@ -166,6 +169,36 @@ class TestDeterminism:
             assert result.evaluations <= 12
             assert result.trajectory  # convergence rounds were recorded
             assert result.trajectory[-1]["evaluations"] == result.evaluations
+
+
+class TestGoldenBytes:
+    """Surrogate searches are pinned byte-for-byte: trajectory, front and
+    ``evals_to_front`` must not move when the search machinery changes.
+    The digests were captured under both accel backends (they agree)."""
+
+    TABLE2 = {
+        7: "9b9a149bccf8da820a114bf3e7760e371c9084654c2aabc5bd2dfa5ece2aaf17",
+        2012: "40ca63ad0f4c5ce8b0a83f3d3344e206b7f28221a6a54f22e6b7ed3ec8f5cfff",
+    }
+    SYNTHETIC = "80fef9ef0c0c0851dedafe05f5622d0da87899d788417dc9f8c4d37c9f78600d"
+
+    @staticmethod
+    def _digest(request: dict, session) -> str:
+        common = {"workload": {"name": "sha"}, "objectives": ["edp"],
+                  "strategy": "surrogate", "batch": 8}
+        result = optimize({**common, **request}, session=session)
+        return hashlib.sha256(result.to_json().encode()).hexdigest()
+
+    @pytest.mark.parametrize("seed", sorted(TABLE2))
+    def test_table2_surrogate(self, seed, session):
+        space = default_design_space().to_search_space()
+        request = {"space": space, "budget": 64, "seed": seed}
+        assert self._digest(request, session) == self.TABLE2[seed]
+
+    def test_synthetic_surrogate(self, session):
+        request = {"space": _synthetic_search_space(), "budget": 36,
+                   "seed": 7, "constraints": ["area_proxy<=700"]}
+        assert self._digest(request, session) == self.SYNTHETIC
 
 
 # ----------------------------------------------------------------------

@@ -10,11 +10,16 @@ bit-for-bit, names included.
 
 from __future__ import annotations
 
+import itertools
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.spec import MachineSpec
 from repro.dse.space import DesignSpace, default_design_space, reduced_design_space
-from repro.search import SearchSpace, SpaceAxis
+from repro.search import Constraint, SearchSpace, SpaceAxis
 
 
 def _conditional_space() -> SearchSpace:
@@ -135,6 +140,97 @@ class TestIndexing:
         )
         assert space.spec(0).resolve().name == "w2_l2-256k"
         assert space.spec(1).resolve().name == "w2_l2-1024k"
+
+
+#: Axis pool for the differential test: plain, size-string and coupled axes.
+_AXIS_POOL = {
+    "width": [1, 2, 3, 4],
+    "l2_size": ["128KB", "256KB", "512KB", "1MB"],
+    "l2_associativity": [4, 8, 16],
+    "l1d_size": ["8KB", "16KB", "32KB"],
+    "pipeline_stages,frequency_mhz": [(5, 600), (7, 800), (9, 1000)],
+    "line_size": [32, 64],
+}
+#: Fields no pool axis binds: a clause over them reads the base machine.
+_BASE_ONLY_POOL = {"l1i_size": ["8KB", "16KB", "32KB"],
+                   "mul_latency": [2, 4, 6]}
+
+
+def _reference_points(space: SearchSpace) -> list[dict]:
+    """Every point in index order: the full product, with each inactive
+    axis collapsed to one choice (its first position)."""
+    base = space.base.resolve()
+    points = []
+    for combination in itertools.product(
+            *(range(len(axis.values)) for axis in space.axes)):
+        bindings: dict = {}
+        for axis, position in zip(space.axes, combination):
+            if axis.when is not None:
+                condition = Constraint.parse(axis.when)
+                value = bindings.get(condition.path,
+                                     getattr(base, condition.path))
+                if not condition.admits_value(value):
+                    if position:
+                        break  # the same point as position 0
+                    continue
+            value = axis.values[position]
+            names = axis.key.split(",")
+            bindings.update(zip(names, value if len(names) > 1 else (value,)))
+        else:
+            points.append(bindings)
+    return points
+
+
+@st.composite
+def _small_spaces(draw) -> SearchSpace:
+    """1-5 pool axes with 0-2 ``when`` clauses over earlier axes' fields
+    or base-only fields."""
+    keys = draw(st.lists(st.sampled_from(sorted(_AXIS_POOL)), min_size=1,
+                         max_size=5, unique=True))
+    axes = [{"axis": key,
+             "values": draw(st.lists(st.sampled_from(_AXIS_POOL[key]),
+                                     min_size=1, unique=True))}
+            for key in keys]
+    for position in draw(st.lists(st.integers(0, len(axes) - 1),
+                                  max_size=2, unique=True)):
+        candidates = dict(_BASE_ONLY_POOL)
+        for earlier in keys[:position]:
+            for offset, name in enumerate(earlier.split(",")):
+                candidates[name] = [
+                    value[offset] if isinstance(value, tuple) else value
+                    for value in _AXIS_POOL[earlier]]
+        name = draw(st.sampled_from(sorted(candidates)))
+        threshold = draw(st.sampled_from(candidates[name]))
+        operator = draw(st.sampled_from(["<=", ">=", "==", "!=", "<", ">"]))
+        axes[position]["when"] = f"{name}{operator}{threshold}"
+    base = draw(st.sampled_from([{}, {"l1i_size": "32KB"},
+                                 {"mul_latency": 2}]))
+    return SearchSpace.make(axes, base=base)
+
+
+class TestCompiledDecode:
+    """The compiled decoder against a brute-force enumeration."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(space=_small_spaces())
+    def test_matches_brute_force_enumeration(self, space):
+        reference = _reference_points(space)
+        assert space.cardinality() == len(reference)
+        for index, expected in enumerate(reference):
+            decoded = space.overrides(index)
+            assert decoded == expected
+            assert space.index_of(decoded) == index
+
+    def test_compiling_changes_no_equality_hash_or_serialization(self):
+        space = _conditional_space()
+        assert space.cardinality() == 6  # compiles
+        assert space == _conditional_space()
+        assert hash(space) == hash(_conditional_space())
+        assert space.to_dict() == _conditional_space().to_dict()
+        clone = pickle.loads(pickle.dumps(space))
+        assert clone == space
+        assert [clone.overrides(i) for i in range(6)] == \
+            [space.overrides(i) for i in range(6)]
 
 
 class TestSampling:
