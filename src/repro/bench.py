@@ -39,8 +39,8 @@ Times the paths every PR is expected to keep fast:
   in-memory default, generated straight into an on-disk spill store and
   evaluated by warmed interval sampling (:mod:`repro.profiler.sampling`)
   in a subprocess; the entry records the sampling rate, the estimated CPI
-  error, the child's peak RSS and the exact-streaming wall time the
-  sampled evaluation replaces (``speedup_vs_exact``),
+  error, the child's peak RSS, ``generation_seconds`` and the exact-streaming
+  wall time the sampled evaluation replaces (``speedup_vs_exact``),
 * ``obs_overhead``         — the cost of :mod:`repro.obs` tracing on the
   sharded hot path: one ``sharded_evaluate_many``-shaped batch timed with
   tracing disabled (the median) and again with spans appended to a
@@ -511,10 +511,10 @@ def _long_workload_child() -> None:
 
     Generates a ``LONG_WORKLOAD_SCALE``x synthetic workload straight into a
     spill store, evaluates it by interval sampling and once exactly through
-    the streaming engine, and prints one JSON line with both wall times,
-    the sampled CPI's estimated error and the process peak RSS.  Runs in
-    its own process so the peak reflects the streamed evaluation, not
-    whatever the parent benchmarked before.
+    the streaming engine, and prints one JSON line with the generation,
+    sampled and exact wall times, the sampled CPI's estimated error and the
+    process peak RSS.  Runs in its own process so the peak reflects the
+    streamed evaluation, not whatever the parent benchmarked before.
     """
     import sys as _sys
     import tempfile as _tempfile
@@ -532,10 +532,12 @@ def _long_workload_child() -> None:
     _reset_peak_rss()
     spec = SyntheticWorkloadSpec(name="synthetic-long")
     with _tempfile.TemporaryDirectory() as root:
+        start = time.perf_counter()
         chunked = generate_synthetic_store(
             Path(root) / "store", spec, scale=LONG_WORKLOAD_SCALE,
             chunk_length=LONG_WORKLOAD_CHUNK_LENGTH,
         )
+        generation_seconds = time.perf_counter() - start
         # Resolve the kernel backend before either timed phase so neither
         # is charged the one-time import of its implementation module.
         get_kernels()
@@ -565,6 +567,7 @@ def _long_workload_child() -> None:
 
     peak_rss_mb = _peak_rss_mb()
     print(json.dumps({
+        "generation_seconds": generation_seconds,
         "sampled_seconds": sampled_seconds,
         "exact_seconds": exact_seconds,
         "instructions": len(chunked),
@@ -581,8 +584,8 @@ def bench_long_workload_sampled() -> tuple[float, dict]:
 
     The reported time is the sampled evaluation alone; the extras record
     the sampling rate, the estimated CPI error, the exact-streaming wall
-    time it replaces (``speedup_vs_exact``) and the child's peak RSS —
-    the figure the bounded-memory CI leg asserts against.
+    time it replaces (``speedup_vs_exact``), ``generation_seconds`` and the
+    child's peak RSS — the figure the bounded-memory CI leg asserts against.
     """
     import os
     import subprocess
@@ -608,6 +611,7 @@ def bench_long_workload_sampled() -> tuple[float, dict]:
         "peak_rss_mb": report["peak_rss_mb"],
         "exact_seconds": exact,
         "speedup_vs_exact": round(exact / sampled, 2) if sampled else None,
+        "generation_seconds": report["generation_seconds"],
     }
 
 

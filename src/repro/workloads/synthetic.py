@@ -11,28 +11,37 @@ the workload suite.  It is useful for two things:
 * generating corner cases the hand-written kernels do not cover (e.g. very
   long dependency distances, extreme branch misprediction rates).
 
-The generated object is a :class:`~repro.trace.trace.Trace`, so everything
-downstream (profiler, analytical model, pipeline simulators) consumes it
-exactly like a trace produced by the functional simulator.
+Generation is one loop that writes the six packed trace columns from one
+seeded random stream, interning each static instruction once.  It yields
+bounded chunks, so the same loop builds an in-memory
+:class:`~repro.trace.trace.Trace` and streams scaled workloads into a spill
+store; everything downstream consumes either exactly like a trace produced
+by the functional simulator.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
-from repro.trace.trace import (
-    INSTR_BYTES,
-    OP_CLASS_IDS,
-    DynamicInstruction,
-    Trace,
-)
+from repro.trace.trace import INSTR_BYTES, OP_CLASS_IDS, Trace
+from repro.trace.trace_schema import NO_VALUE
 
 #: Registers available to the generator (r0 is the zero register, excluded).
 _NUM_REGS = 31
+
+#: First byte address of the synthetic data footprint.
+_DATA_BASE = 0x100000
+
+#: Record classes.  The class draw tests the spec's fractions in this order;
+#: ALU work takes whatever probability is left.
+_LOAD, _STORE, _MUL, _DIV, _BRANCH, _ALU = range(6)
 
 
 @dataclass(frozen=True)
@@ -86,192 +95,178 @@ class SyntheticWorkloadSpec:
             raise ValueError("static_code_size must be positive")
         if self.data_footprint_bytes <= 0:
             raise ValueError("data_footprint_bytes must be positive")
-        if not self.dependency_distances:
-            raise ValueError("dependency_distances must not be empty")
-        if any(d < 1 for d in self.dependency_distances):
-            raise ValueError("dependency distances start at 1")
+        # Rotating destination registers keep a distance exact only below
+        # _NUM_REGS; a longer one would silently alias a shorter one.
+        for distance, weight in self.dependency_distances.items():
+            if type(distance) is not int or not 1 <= distance < _NUM_REGS:
+                raise ValueError(f"dependency distances must be integers in [1, {_NUM_REGS - 1}]")
+            if not (math.isfinite(weight) and weight >= 0):
+                raise ValueError("dependency weights must be finite and non-negative")
+        if not 0 < sum(self.dependency_distances.values()) < math.inf:
+            raise ValueError("dependency weights must have a positive sum")
+
+
+def _static(kind: int, dest: int, source: int) -> Instruction:
+    """The static instruction a record of class ``kind`` executes."""
+    if kind == _LOAD:
+        return Instruction(Opcode.LW, dest=dest, src1=source)
+    if kind == _STORE:
+        return Instruction(Opcode.SW, src1=source, src2=source)
+    if kind == _BRANCH:
+        return Instruction(Opcode.BNE, src1=source, src2=0, target="loop")
+    opcode = {_MUL: Opcode.MUL, _DIV: Opcode.DIV, _ALU: Opcode.ADD}[kind]
+    return Instruction(opcode, dest=dest, src1=source, src2=source)
 
 
 class SyntheticTraceGenerator:
-    """Generates dynamic instruction traces matching a statistical spec."""
+    """Generates dynamic instruction traces matching a statistical spec.
+
+    :meth:`generate` and :meth:`generate_store` share one column loop, so a
+    ``scale`` x store holds the rows of a ``scale`` x longer spec's trace.
+    """
 
     def __init__(self, spec: SyntheticWorkloadSpec):
         self.spec = spec
-        # Static instructions interned by value: the generator materializes
-        # a fresh Instruction per dynamic record, but identical ones resolve
-        # to one shared object, so the statics table stays proportional to
-        # the register/opcode combinations, not the trace length — the
-        # property streamed (scaled) generation depends on.
-        self._intern: dict[Instruction, Instruction] = {}
 
-    # ------------------------------------------------------------------
-    def _choose_class(self, rng: random.Random) -> str:
-        spec = self.spec
-        draw = rng.random()
-        for kind, fraction in (
-            ("load", spec.load_fraction),
-            ("store", spec.store_fraction),
-            ("mul", spec.multiply_fraction),
-            ("div", spec.divide_fraction),
-            ("branch", spec.branch_fraction),
-        ):
-            if draw < fraction:
-                return kind
-            draw -= fraction
-        return "alu"
-
-    def _sample_distance(self, rng: random.Random) -> int:
-        distances = list(self.spec.dependency_distances)
-        weights = [self.spec.dependency_distances[d] for d in distances]
-        return rng.choices(distances, weights=weights, k=1)[0]
-
-    def _memory_address(self, rng: random.Random, cursor: int) -> tuple[int, int]:
-        """Return (address, new streaming cursor)."""
-        spec = self.spec
-        base = 0x100000
-        if rng.random() < spec.streaming_fraction:
-            address = base + cursor
-            cursor = (cursor + 4) % spec.data_footprint_bytes
-        else:
-            address = base + 4 * rng.randrange(spec.data_footprint_bytes // 4)
-        return address, cursor
-
-    # ------------------------------------------------------------------
     def generate(self) -> Trace:
-        return Trace(self._records(self.spec.instructions),
-                     name=self.spec.name)
+        total = self.spec.instructions
+        ((statics, _, columns),) = self._columns(total, total)
+        return Trace.from_columns(statics=statics, name=self.spec.name, **columns)
 
     def generate_store(self, path, *, scale: int = 1,
                        chunk_length: int = 65536):
         """Stream ``scale * spec.instructions`` records into a spill store.
 
-        Never holds more than one chunk of columns in memory: records are
-        packed straight into column arrays and flushed through a
-        :class:`~repro.trace.store.TraceStoreWriter` every ``chunk_length``
-        rows, with the statics table interned once across the whole stream
-        (each flushed chunk carries the table as of its flush, which is the
-        prefix-consistent layout the store's manifest expects).  This is
-        how 100–1000x workloads are produced without 100–1000x memory.
+        Memory is bounded by ``chunk_length``, not by the trace length: each
+        chunk of the generation loop goes straight to a
+        :class:`~repro.trace.store.TraceStoreWriter`, carrying the statics
+        table as of its flush (the prefix-consistent layout the store's
+        manifest expects).  This is how 100–1000x workloads are produced
+        without 100–1000x memory.
         """
         from repro.trace.store import TraceStoreWriter
-        from repro.trace.trace_schema import NO_VALUE
 
         if scale < 1:
             raise ValueError("scale must be at least 1")
         spec = self.spec
-        total = spec.instructions * scale
-        writer = TraceStoreWriter(path, name=spec.name,
-                                  chunk_length=chunk_length)
-        statics: list[Instruction] = []
-        slots: dict[Instruction, int] = {}
-
-        def new_columns() -> dict:
-            return {
-                "pcs": array("q"), "next_pcs": array("q"),
-                "mem_addrs": array("q"), "op_classes": array("b"),
-                "taken": array("b"), "static_index": array("q"),
-            }
-
-        columns = new_columns()
-        start = 0
-        for dyn in self._records(total):
-            instruction = dyn.instruction
-            slot = slots.get(instruction)
-            if slot is None:
-                slot = len(statics)
-                slots[instruction] = slot
-                statics.append(instruction)
-            columns["pcs"].append(dyn.pc)
-            columns["next_pcs"].append(
-                NO_VALUE if dyn.next_pc is None else dyn.next_pc)
-            if dyn.mem_addr is not None:
-                columns["mem_addrs"].append(dyn.mem_addr)
-            elif instruction.is_memory:
-                columns["mem_addrs"].append(0)
-            else:
-                columns["mem_addrs"].append(NO_VALUE)
-            columns["op_classes"].append(OP_CLASS_IDS[instruction.op_class])
-            columns["taken"].append(
-                NO_VALUE if dyn.taken is None else int(dyn.taken))
-            columns["static_index"].append(slot)
-            if len(columns["pcs"]) == chunk_length:
-                writer.append(Trace.from_columns(
-                    statics=tuple(statics), name=spec.name,
-                    seq_start=start, **columns))
-                start += chunk_length
-                columns = new_columns()
-        if len(columns["pcs"]):
-            writer.append(Trace.from_columns(
-                statics=tuple(statics), name=spec.name,
-                seq_start=start, **columns))
+        writer = TraceStoreWriter(path, name=spec.name, chunk_length=chunk_length)
+        for statics, start, columns in self._columns(
+                spec.instructions * scale, chunk_length):
+            writer.append(Trace.from_columns(statics=statics, name=spec.name,
+                                             seq_start=start, **columns))
         return writer.finalize()
 
-    def _records(self, total: int):
-        """Yield ``total`` dynamic records (bounded state, any length)."""
+    def _columns(self, total: int, chunk_length: int):
+        """Yield ``(statics, seq_start, columns)`` for ``total`` records.
+
+        ``columns`` holds up to ``chunk_length`` rows as the keywords of
+        :meth:`Trace.from_columns`; ``statics`` is the table interned so far
+        (it only grows).  Per record the seeded stream draws, in order: the
+        class; the dependency distance (not for the first record); for a
+        load or store whether it streams, then a word only if it does not;
+        for a branch whether it is predictable, then its direction (once
+        per pc if predictable, else per execution).
+        """
         spec = self.spec
         rng = random.Random(spec.seed)
+        draw = rng.random
+        # ``rng.choices(distances, weights)`` inlined exactly as CPython
+        # computes it, so the stream and its results are unchanged.
+        distances = list(spec.dependency_distances)
+        cum_weights = list(accumulate(spec.dependency_distances.values()))
+        weight_total = cum_weights[-1] + 0.0
+        hi = len(cum_weights) - 1
+        load, store, mul, div, branch = (
+            spec.load_fraction, spec.store_fraction, spec.multiply_fraction,
+            spec.divide_fraction, spec.branch_fraction)
+        code_size = spec.static_code_size
         cursor = 0
-        # The synthetic program walks a static code loop so that the
-        # instruction-cache behaviour is realistic (a hot loop of
-        # ``static_code_size`` instructions re-executed until the budget runs
-        # out).
-        static_pc = 0
         # Direction chosen once per static branch location: history-based
         # predictors learn these, so ``branch_predictability`` controls the
         # achievable prediction accuracy while the overall taken rate stays
         # at ``branch_taken_rate``.
         pc_bias: dict[int, bool] = {}
+        statics: list[Instruction] = []
+        slot_classes = bytearray()
+        # (class, dest, source) packed into one int -> statics slot; stores
+        # and branches write no register, so their key leaves dest out.
+        slots: dict[int, int] = {}
 
-        for seq in range(total):
-            kind = self._choose_class(rng)
-            # Destination register: rotating allocation guarantees the value
-            # written ``d`` instructions ago still lives in a unique register
-            # for any d < _NUM_REGS, so dependency distances are exact.
-            dest = 1 + (seq % _NUM_REGS)
-            distance = min(self._sample_distance(rng), seq) if seq else 0
-            source = 1 + ((seq - distance) % _NUM_REGS) if distance else 0
-
-            pc = (static_pc % spec.static_code_size) * INSTR_BYTES
-            mem_addr = None
-            taken = None
-            next_static_pc = static_pc + 1
-
-            if kind == "load":
-                mem_addr, cursor = self._memory_address(rng, cursor)
-                instruction = Instruction(Opcode.LW, dest=dest, src1=source)
-            elif kind == "store":
-                mem_addr, cursor = self._memory_address(rng, cursor)
-                instruction = Instruction(Opcode.SW, src1=source, src2=source)
-            elif kind == "mul":
-                instruction = Instruction(Opcode.MUL, dest=dest, src1=source, src2=source)
-            elif kind == "div":
-                instruction = Instruction(Opcode.DIV, dest=dest, src1=source, src2=source)
-            elif kind == "branch":
-                predictable = rng.random() < spec.branch_predictability
-                if predictable:
-                    # Predictable branches always go the same way at a given
-                    # pc; the per-pc direction is drawn once with the
-                    # specified taken rate.
-                    if pc not in pc_bias:
-                        pc_bias[pc] = rng.random() < spec.branch_taken_rate
-                    taken = pc_bias[pc]
+        for start in range(0, total, chunk_length):
+            stop = min(start + chunk_length, total)
+            mem_addrs = array("q", [NO_VALUE]) * (stop - start)
+            taken = array("b", [NO_VALUE]) * (stop - start)
+            static_index = array("q")
+            for seq in range(start, stop):
+                choice = draw()
+                # Destination register: rotating allocation guarantees the
+                # value written ``d`` instructions ago still lives in a
+                # unique register for any d < _NUM_REGS, so dependency
+                # distances are exact.
+                dest = 1 + seq % _NUM_REGS
+                if seq:
+                    distance = distances[
+                        bisect_right(cum_weights, draw() * weight_total, 0, hi)]
+                    source = (1 + (seq - distance) % _NUM_REGS
+                              if distance < seq else 1)
                 else:
-                    # Unpredictable branches flip per execution (same overall
-                    # taken rate, but no learnable pattern).
-                    taken = rng.random() < spec.branch_taken_rate
-                instruction = Instruction(Opcode.BNE, src1=source, src2=0, target="loop")
-            else:
-                instruction = Instruction(Opcode.ADD, dest=dest, src1=source, src2=source)
+                    source = 0
+                # The class draw is tested against each fraction in turn,
+                # subtracting as it goes (float rounding included).
+                if choice < load:
+                    kind = _LOAD
+                elif (choice := choice - load) < store:
+                    kind = _STORE
+                elif (choice := choice - store) < mul:
+                    kind = _MUL
+                elif (choice := choice - mul) < div:
+                    kind = _DIV
+                elif choice - div < branch:
+                    kind = _BRANCH
+                else:
+                    kind = _ALU
 
-            yield DynamicInstruction(
-                seq=seq,
-                pc=pc,
-                instruction=self._intern.setdefault(instruction, instruction),
-                mem_addr=mem_addr,
-                taken=taken,
-                next_pc=(next_static_pc % spec.static_code_size) * INSTR_BYTES,
-            )
-            static_pc = next_static_pc
+                if kind <= _STORE:
+                    if draw() < spec.streaming_fraction:
+                        mem_addrs[seq - start] = _DATA_BASE + cursor
+                        cursor = (cursor + 4) % spec.data_footprint_bytes
+                    else:
+                        mem_addrs[seq - start] = _DATA_BASE + 4 * rng.randrange(
+                            spec.data_footprint_bytes // 4)
+                    if kind == _STORE:
+                        dest = 0
+                elif kind == _BRANCH:
+                    # Predictable branches always go the same way at a given
+                    # pc; unpredictable ones flip per execution.
+                    if draw() < spec.branch_predictability:
+                        outcome = pc_bias.get(seq % code_size)
+                        if outcome is None:
+                            outcome = pc_bias[seq % code_size] = (
+                                draw() < spec.branch_taken_rate)
+                    else:
+                        outcome = draw() < spec.branch_taken_rate
+                    taken[seq - start] = outcome
+                    dest = 0
+
+                key = kind << 10 | dest << 5 | source
+                slot = slots.get(key)
+                if slot is None:
+                    slot = slots[key] = len(statics)
+                    instruction = _static(kind, dest, source)
+                    statics.append(instruction)
+                    slot_classes.append(OP_CLASS_IDS[instruction.op_class])
+                static_index.append(slot)
+
+            # The program re-executes a hot loop of ``static_code_size``
+            # instructions, so the instruction-cache behaviour is realistic.
+            pcs = array("q", [seq % code_size * INSTR_BYTES
+                              for seq in range(start, stop + 1)])
+            yield tuple(statics), start, {
+                "pcs": pcs[:-1], "next_pcs": pcs[1:], "mem_addrs": mem_addrs,
+                "op_classes": array("b", map(slot_classes.__getitem__,
+                                             static_index)),
+                "taken": taken, "static_index": static_index,
+            }
 
 
 def generate_synthetic_trace(spec: SyntheticWorkloadSpec | None = None) -> Trace:

@@ -44,6 +44,35 @@ class TestSpecValidation:
             SyntheticWorkloadSpec(dependency_distances={0: 1.0})
 
 
+class TestDependencyDistanceValidation:
+    """The distance draw trusts the spec: bad weights or distances that the
+    register rotation cannot represent are rejected up front."""
+
+    def test_longest_exact_distance_accepted(self):
+        SyntheticWorkloadSpec(dependency_distances={30: 1.0})
+
+    def test_distance_must_fit_the_register_rotation(self):
+        # 31 registers rotate, so distance 40 would alias distance 9.
+        with pytest.raises(ValueError, match="integers in"):
+            SyntheticWorkloadSpec(dependency_distances={1: 0.5, 40: 0.5})
+
+    def test_distance_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="integers in"):
+            SyntheticWorkloadSpec(dependency_distances={1.5: 1.0})
+
+    def test_weights_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            SyntheticWorkloadSpec(dependency_distances={1: 1.0, 2: -0.5})
+
+    def test_weights_must_be_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            SyntheticWorkloadSpec(dependency_distances={1: float("inf")})
+
+    def test_weights_must_have_a_positive_sum(self):
+        with pytest.raises(ValueError, match="positive sum"):
+            SyntheticWorkloadSpec(dependency_distances={1: 0.0, 2: 0.0})
+
+
 class TestGeneratedTraces:
     def test_length_and_name(self):
         trace = generate_synthetic_trace(SyntheticWorkloadSpec(name="x", instructions=5000))

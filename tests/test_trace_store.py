@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.trace.store import (
     TraceStore,
+    encode_statics,
     import_portable,
     portable_info,
     store_info,
@@ -144,6 +153,46 @@ def test_synthetic_store_matches_in_memory(tmp_path):
         generate_synthetic_trace(SPEC))
 
 
+@st.composite
+def _synthetic_specs(draw):
+    """Small random specs, including zero fractions and tiny footprints."""
+    fractions = [draw(st.floats(0.0, 0.19)) for _ in range(5)]
+    weights = draw(st.dictionaries(st.integers(1, 30), st.floats(0.0, 1.0),
+                                   min_size=1, max_size=6))
+    if not sum(weights.values()) > 0:
+        weights[next(iter(weights))] = 1.0
+    return SyntheticWorkloadSpec(
+        instructions=draw(st.integers(1, 400)),
+        load_fraction=fractions[0], store_fraction=fractions[1],
+        multiply_fraction=fractions[2], divide_fraction=fractions[3],
+        branch_fraction=fractions[4],
+        branch_taken_rate=draw(st.floats(0.0, 1.0)),
+        branch_predictability=draw(st.floats(0.0, 1.0)),
+        dependency_distances=weights,
+        static_code_size=draw(st.integers(1, 64)),
+        data_footprint_bytes=draw(st.integers(4, 512)),
+        streaming_fraction=draw(st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@given(spec=_synthetic_specs(), scale=st.integers(1, 4),
+       chunk_length=st.integers(1, 700))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_synthetic_store_matches_scaled_in_memory(spec, scale, chunk_length):
+    """A store of ``scale`` x the spec holds exactly the rows (and the
+    statics table) of ``generate()`` on a spec ``scale`` times as long."""
+    scaled = dataclasses.replace(spec, instructions=spec.instructions * scale)
+    in_memory = SyntheticTraceGenerator(scaled).generate()
+    with tempfile.TemporaryDirectory() as root:
+        streamed = generate_synthetic_store(Path(root) / "store", spec,
+                                            scale=scale,
+                                            chunk_length=chunk_length)
+        assert streamed.num_chunks == -(-len(in_memory) // chunk_length)
+        assert streamed.statics == in_memory.statics
+        assert resolved_rows(streamed) == resolved_rows(in_memory)
+
+
 def test_synthetic_store_scaling(tmp_path):
     scale = 6
     streamed = generate_synthetic_store(tmp_path / "store", SPEC, scale=scale,
@@ -158,6 +207,88 @@ def test_synthetic_store_scaling(tmp_path):
 def test_synthetic_generator_interns_statics():
     trace = SyntheticTraceGenerator(SPEC).generate()
     assert len(trace.statics) < len(trace) / 4
+
+
+# ----------------------------------------------------------------------
+# Golden bytes of synthetic generation.
+# ----------------------------------------------------------------------
+_GOLDEN_SPECS = {
+    "default": SyntheticWorkloadSpec(),
+    # The perfbench ``long_trace`` spec (its seed for --seed 1), scaled down.
+    "long_trace": SyntheticWorkloadSpec(name="synthetic-long",
+                                        instructions=4_000, seed=1773348836),
+    "branchy": SyntheticWorkloadSpec(instructions=3_000, static_code_size=17,
+                                     branch_fraction=0.5,
+                                     streaming_fraction=0.1, seed=11),
+    "no_loads": SyntheticWorkloadSpec(instructions=3_000, load_fraction=0.0,
+                                      branch_predictability=0.0,
+                                      streaming_fraction=1.0, seed=13),
+}
+
+#: SHA-256 of ``generate().to_payload()`` (key: spec, scale) and of a spill
+#: store's chunk digests plus ``statics.json`` (key: spec, scale, chunk
+#: length; 1000 divides every total, 1024 none).  Captured from the
+#: per-record generator the column loop replaced, under both accel
+#: backends (generation does not use them): generation is a fixed function
+#: of the spec, and any change to its output must change these on purpose.
+_GOLDEN_PAYLOADS = {
+    ("default", 1): "2f77bef8d9aa21cc778639376079d46fef6da936db08c7e1d94a4c99ff77b192",
+    ("default", 3): "02fcaacd294264b9eae5ce3d51a9326068fea6ac26a410c7a676aeae6739fef5",
+    ("long_trace", 1): "f53c1d0eaf314efe69d10cbc141666f43ccb55d1e9d6bec9c8732c8638dd27a1",
+    ("long_trace", 3): "a4073a2c58a9532c798b2350cb75c7102e1baec4bdadc064e325e99b249c7d00",
+    ("branchy", 1): "e8e095776736e1b715cbd7d644fb2f2040c18e1c16d98137421c56a6629a1189",
+    ("branchy", 3): "f1c6c439783585435358224becf2c0b4f2e80e4b494078b4cfd2abfa5a134c90",
+    ("no_loads", 1): "1e5014a2f0fab3e518fbfb0673994370b0b71a3cc2797cfb28b77ccbcb6faec7",
+    ("no_loads", 3): "8f5908aacd2fb0096e98b415b449010a118db75f39ab7c077c8f64f0944ac081",
+}
+_GOLDEN_STORES = {
+    ("default", 1, 1000): "df5f11fd8bac286f908c8fe612d6510f5a9ad697bdf9d277f52b3716748a2a9e",
+    ("default", 1, 1024): "066dbfb977081ec3bc90d4f4f2fdff125bbbb9a729b93fd57b64260b01e1e0e9",
+    ("default", 3, 1000): "88c2d6a28cb274e3c15d6de981fc2cf285a102fea701854280e7309667418c73",
+    ("default", 3, 1024): "d4c522352ed81f5a33f39bfbe5673aa2f1d9cd6fc548ea6b2053ed1ffe451c15",
+    ("long_trace", 1, 1000): "5fe68fb5e67338e091d1a6863995870cad1fd84007417b0b60fb37664fe9995b",
+    ("long_trace", 1, 1024): "7f214ade5b959cba7b1efca88506c2271038a5da6fe59c97b0b978c1b3664035",
+    ("long_trace", 3, 1000): "fde7a9d1020fae60bfb415768c6925b50357db99da108207feb1316a99a644e5",
+    ("long_trace", 3, 1024): "d9321f276d3c6654d82c17a619dcd13b7659f0117ce944e31d3246213b88b967",
+    ("branchy", 1, 1000): "281516ab95d9a015d27eb08d599b8df8c1a21d9b3d9824702b0156160d6469d7",
+    ("branchy", 1, 1024): "0a8f6a697cdb9b0fee92283e43c8ca643164c18758ffab9b4e48638d90c10788",
+    ("branchy", 3, 1000): "fbfceee35f1cc37aaae1caf62a0b396c5ab3751a33cc6b79bc41f62eae270e19",
+    ("branchy", 3, 1024): "0b251be33c7a8cf4c97ba0a1aaca7bdacd52d1c74d11d43309af8bcfce348307",
+    ("no_loads", 1, 1000): "b4ce0eecb0b7966dac3943268cd5da019154e0b0ca2426b7a6a149c4ae72d78b",
+    ("no_loads", 1, 1024): "4e1f5dd00064a6f764937d71a644f7daa8e42bf8e4a378960322cc848469895e",
+    ("no_loads", 3, 1000): "e829a8b907a30f0b9dcb227dbf82f0bdf93f7da944c22cfd06c74d4547ff1cbd",
+    ("no_loads", 3, 1024): "822dc4e92646ea03c6c2e03fcfb73321e9cf6d35ac640c0024ed9f83dd4233b1",
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("key", sorted(_GOLDEN_PAYLOADS))
+    def test_in_memory_payload(self, key):
+        name, scale = key
+        spec = _GOLDEN_SPECS[name]
+        spec = dataclasses.replace(spec, instructions=spec.instructions * scale)
+        payload = SyntheticTraceGenerator(spec).generate().to_payload()
+        digest = hashlib.sha256(json.dumps([
+            payload["name"], payload.get("seq_start", 0),
+            encode_statics(payload["statics"])]).encode())
+        for column in COLUMN_NAMES:
+            typecode, raw = payload["columns"][column]
+            digest.update(typecode.encode("ascii"))
+            digest.update(raw)
+        assert digest.hexdigest() == _GOLDEN_PAYLOADS[key]
+
+    @pytest.mark.parametrize("key", sorted(_GOLDEN_STORES))
+    def test_spill_store(self, key, tmp_path):
+        name, scale, chunk_length = key
+        store = tmp_path / "store"
+        generate_synthetic_store(store, _GOLDEN_SPECS[name], scale=scale,
+                                 chunk_length=chunk_length)
+        manifest = json.loads((store / "manifest.json").read_text())
+        digest = hashlib.sha256()
+        for chunk in manifest["chunks"]:
+            digest.update(chunk["digest"].encode("ascii"))
+        digest.update((store / "statics.json").read_bytes())
+        assert digest.hexdigest() == _GOLDEN_STORES[key]
 
 
 def test_store_write_requires_nonexistent_or_empty(trace, tmp_path):
