@@ -25,7 +25,7 @@ import sys
 import time
 
 from repro.accel import active_backend
-from repro.api import evaluate_many
+from repro.api import SweepRequest, evaluate_many
 from repro.dse.space import default_design_space
 from repro.workloads.registry import suite_names
 
@@ -36,7 +36,8 @@ def main(names: list[str]) -> None:
     unknown = set(names) - set(suite_names("mibench"))
     if unknown:
         raise SystemExit(f"unknown workloads: {sorted(unknown)}")
-    sweep = default_design_space().to_sweep(names)
+    space = default_design_space()
+    sweep = SweepRequest.make(names, machines=space.specs(range(len(space))))
     requests = sweep.expand()
     print(f"{len(requests)} evaluations "
           f"({len(names)} workloads x {len(requests) // len(names)} "

@@ -58,9 +58,9 @@ class BackendCapabilities:
 class PointEvaluation:
     """In-process outcome of one backend call (pre-serialization).
 
-    This is what :class:`~repro.dse.explorer.DesignSpaceExplorer` consumes
-    directly; the :mod:`repro.api.batch` facade flattens it into the
-    JSON-round-trippable :class:`~repro.api.spec.EvalResult`.
+    Every backend's ``evaluate`` returns one; the :mod:`repro.api.batch`
+    facade flattens it into the JSON-round-trippable
+    :class:`~repro.api.spec.EvalResult`.
     """
 
     machine: MachineConfig

@@ -7,12 +7,15 @@ grid of machine-parameter axes, and expands into the cross product of
 * ``axes`` — a mapping from machine field to a list of values.  A key may
   couple several comma-separated fields (``"pipeline_stages,frequency_mhz"``)
   whose values are then tuples of matching arity, expressing correlated
-  parameters (the paper couples pipeline depth and clock frequency);
+  parameters (the paper couples pipeline depth and clock frequency).  The
+  grid decodes through :class:`~repro.search.space.SearchSpace`, which
+  rejects an empty axis, a null value and a field bound by two axes; each
+  point is named ``field=value,...`` over the raw axis values unless an
+  axis binds ``name``;
 * ``machines`` — an explicit list of :class:`~repro.api.spec.MachineSpec`
   entries, used when the grid is irregular or the caller wants to control
-  the generated configuration names (this is how
-  :meth:`repro.dse.space.DesignSpace.to_sweep` re-expresses the paper's
-  Table 2 space without renaming its 192 points).
+  the generated configuration names (the paper's Table 2 space runs as
+  ``machines=space.specs(range(len(space)))``, keeping its 192 names).
 
 Expansion order is deterministic — workloads outermost, then grid points
 in axis order, then backends — so batch output is reproducible
@@ -21,7 +24,6 @@ byte-for-byte regardless of the job count.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -82,21 +84,12 @@ class SweepRequest:
             return list(self.machines)
         if not self.axes:
             return [self.base]
-        axis_fields = [tuple(key.split(",")) for key, _ in self.axes]
-        axis_values = [values for _, values in self.axes]
+        from repro.search.space import SearchSpace
+
+        space = SearchSpace.make(dict(self.axes))
         grid = []
-        for combo in itertools.product(*axis_values):
-            overrides: dict[str, object] = {}
-            for fields_group, value in zip(axis_fields, combo):
-                if len(fields_group) == 1:
-                    overrides[fields_group[0]] = value
-                else:
-                    if not isinstance(value, (tuple, list)) or len(value) != len(fields_group):
-                        raise ValueError(
-                            f"coupled axis {','.join(fields_group)!r} needs "
-                            f"{len(fields_group)}-tuples, got {value!r}"
-                        )
-                    overrides.update(zip(fields_group, value))
+        for index in range(len(space)):
+            overrides = space.overrides(index)
             if "name" not in overrides:
                 overrides["name"] = ",".join(
                     f"{field_name}={value}"

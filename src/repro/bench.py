@@ -6,9 +6,9 @@ Times the paths every PR is expected to keep fast:
   benchmarks (fresh workloads, no cache),
 * ``profile_machine``      — miss-event profiling of those traces on the
   default machine (trace generation excluded),
-* ``dse_evaluate``         — model-only ``DesignSpaceExplorer.evaluate`` of
-  the Figure 5 fast benchmarks across the Figure 5 (reduced) design space,
-  including the profiling passes the explorer triggers,
+* ``dse_evaluate``         — model-only serial ``evaluate_many`` of the
+  Figure 5 fast benchmarks across the Figure 5 (reduced) design space,
+  one backend call per point, including the profiling passes they trigger,
 * ``api_batch_evaluate``   — the public ``repro.api`` facade answering all
   19 MiBench workloads x 4 machine presets through ``evaluate_many`` on a
   cold session (trace generation included),
@@ -114,7 +114,6 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.dse.explorer import DesignSpaceExplorer
 from repro.dse.space import reduced_design_space
 from repro.experiments.common import FIGURE5_FAST_BENCHMARKS
 from repro.machine import DEFAULT_MACHINE
@@ -166,13 +165,25 @@ def bench_profile_machine() -> float:
 
 
 def bench_dse_evaluate() -> float:
-    workloads = _fresh_workloads()
-    for workload in workloads:
-        workload.trace()
-    explorer = DesignSpaceExplorer(reduced_design_space().configurations())
+    """Model-only evaluation of the Figure 5 (reduced) design space.
+
+    The Figure 5 fast benchmarks' traces are generated untimed into a
+    fresh session; the timed region is one serial, unplanned
+    ``evaluate_many`` over every (benchmark, design point) pair — one
+    ``analytical`` backend call per point, including the profiling passes
+    those calls trigger.
+    """
+    from repro.api import SweepRequest, evaluate_many
+
+    session = Session()
+    for name in FIGURE5_FAST_BENCHMARKS:
+        session.workload(name)
+    space = reduced_design_space()
+    requests = SweepRequest.make(
+        FIGURE5_FAST_BENCHMARKS, machines=space.specs(range(len(space)))
+    ).expand()
     start = time.perf_counter()
-    for workload in workloads:
-        explorer.evaluate(workload)
+    evaluate_many(requests, session=session, plan=False)
     return time.perf_counter() - start
 
 
@@ -299,11 +310,14 @@ def _timed_table2_sweep(backend: str | None) -> float:
     stacks on top of already-stable samples.
     """
     from repro import accel
-    from repro.api import evaluate_many
+    from repro.api import SweepRequest, evaluate_many
     from repro.dse.space import default_design_space
     from repro.workloads.registry import suite_names
 
-    requests = default_design_space().to_sweep(suite_names("mibench")).expand()
+    space = default_design_space()
+    requests = SweepRequest.make(
+        suite_names("mibench"), machines=space.specs(range(len(space)))
+    ).expand()
     previous = accel.active_backend()
     if backend is not None:
         accel.set_backend(backend)
@@ -710,7 +724,7 @@ def bench_search_surrogate_dse() -> tuple[float, dict]:
     from repro.search import OptimizeRequest, optimize
 
     session = _table2_session()
-    space = default_design_space().to_search_space()
+    space = default_design_space()
     base = {"space": space, "workload": {"name": SEARCH_WORKLOAD},
             "objectives": ["edp"]}
     exhaustive = optimize(

@@ -1,17 +1,21 @@
-"""Design-space exploration (Table 2 and Figures 5 and 9 of the paper)."""
+"""The paper's Table-2 design space (Figures 5 and 9 sweep it)."""
 
-from repro.dse.space import DesignSpace, default_design_space, reduced_design_space
-from repro.dse.explorer import (
-    DesignPointResult,
-    DesignSpaceExplorer,
-    EDPResult,
+from repro.dse.space import (
+    BRANCH_PREDICTORS,
+    DEPTH_FREQUENCY_POINTS,
+    L2_ASSOCIATIVITIES,
+    L2_SIZES,
+    WIDTHS,
+    default_design_space,
+    reduced_design_space,
 )
 
 __all__ = [
-    "DesignSpace",
+    "BRANCH_PREDICTORS",
+    "DEPTH_FREQUENCY_POINTS",
+    "L2_ASSOCIATIVITIES",
+    "L2_SIZES",
+    "WIDTHS",
     "default_design_space",
     "reduced_design_space",
-    "DesignSpaceExplorer",
-    "DesignPointResult",
-    "EDPResult",
 ]

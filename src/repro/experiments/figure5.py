@@ -42,16 +42,17 @@ class Figure5Result:
 def _space_validation(session: Session, item) -> tuple[ValidationRow, ...]:
     """All design-space points of one benchmark (a parallel work unit).
 
-    The space is re-expressed through the :mod:`repro.api` sweep grammar:
-    every (configuration, backend) question becomes a declarative
+    The space's points become an explicit-``machines`` sweep: every
+    (configuration, backend) question is a declarative
     :class:`~repro.api.spec.EvalRequest` answered by the batch facade, and
     the model/simulator answers are paired back into validation rows.
     """
-    from repro.api import evaluate_many
+    from repro.api import SweepRequest, evaluate_many
 
     name, full = item
     space = default_design_space() if full else reduced_design_space()
-    sweep = space.to_sweep((name,), backends=("analytical", "simulator"))
+    sweep = SweepRequest.make((name,), machines=space.specs(range(len(space))),
+                              backends=("analytical", "simulator"))
     results = evaluate_many(sweep.expand(), session=session)
     rows = []
     for predicted, simulated in zip(results[0::2], results[1::2]):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dse.explorer import DesignSpaceExplorer, EDPResult
 from repro.dse.space import default_design_space, reduced_design_space
 from repro.experiments.common import FIGURE9_BENCHMARKS, ensure_session
 from repro.runtime import ExperimentResult, Session, experiment
@@ -27,7 +26,6 @@ class Figure9Row:
     simulated_best: str
     same_choice: bool
     edp_gap: float
-    exploration: EDPResult
 
 
 @dataclass
@@ -41,20 +39,30 @@ class Figure9Result:
 
 
 def _edp_exploration(session: Session, item) -> Figure9Row:
-    """One benchmark's EDP sweep over the space (a parallel work unit)."""
+    """One benchmark's EDP sweep over the space (a parallel work unit).
+
+    Every point is answered by the model and by the simulator, both with
+    power; the model's EDP optimum is then scored by its *simulated* EDP
+    against the simulated optimum (the first point wins a tie).
+    """
+    from repro.api import SweepRequest, evaluate_many
+
     name, full = item
     space = default_design_space() if full else reduced_design_space()
-    explorer = DesignSpaceExplorer.from_space(space, session=session)
-    exploration = explorer.explore_edp(session.workload(name), simulate=True)
-    model_best = exploration.best_by_model()
-    simulated_best = exploration.best_by_simulation()
+    sweep = SweepRequest.make((name,), machines=space.specs(range(len(space))),
+                              backends=("analytical", "simulator"),
+                              with_power=True)
+    results = evaluate_many(sweep.expand(), session=session)
+    points = list(zip(results[0::2], results[1::2]))
+    model_best, model_best_simulated = min(points, key=lambda pair: pair[0].edp)
+    simulated_best = min((simulated for _, simulated in points),
+                         key=lambda result: result.edp)
     return Figure9Row(
         benchmark=name,
-        model_best=model_best.machine.name,
-        simulated_best=simulated_best.machine.name,
-        same_choice=model_best.machine.name == simulated_best.machine.name,
-        edp_gap=exploration.model_choice_edp_gap(),
-        exploration=exploration,
+        model_best=model_best.machine,
+        simulated_best=simulated_best.machine,
+        same_choice=model_best.machine == simulated_best.machine,
+        edp_gap=(model_best_simulated.edp - simulated_best.edp) / simulated_best.edp,
     )
 
 

@@ -53,7 +53,8 @@ def run(benchmark: str = "sha", configurations: int | None = None,
     session = ensure_session(session)
     workload = session.workload(benchmark)
     trace = workload.trace()
-    machines = reduced_design_space().configurations()
+    space = reduced_design_space()
+    machines = [spec.resolve() for spec in space.specs(range(len(space)))]
     if configurations is not None:
         machines = machines[:configurations]
 

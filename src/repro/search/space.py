@@ -61,6 +61,9 @@ class SpaceAxis:
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError(f"axis {self.key!r} has no values")
+        if None in self.values:
+            # None is how a decoded point marks an inactive axis.
+            raise ValueError(f"axis {self.key!r}: null is not a value")
         for field_name in self.fields:
             if not field_name:
                 raise ValueError(f"malformed axis key {self.key!r}")

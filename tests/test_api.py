@@ -10,19 +10,50 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import api
-from repro.api.backends import BACKENDS, BackendCapabilities, EvalBackend, PointEvaluation
+from repro.api.backends import (
+    BACKENDS,
+    BackendCapabilities,
+    EvalBackend,
+    PointEvaluation,
+    get_backend,
+)
 from repro.api.batch import results_table
 from repro.cli import main as cli_main
 from repro.dse.space import reduced_design_space
-from repro.machine import MachineConfig
+from repro.machine import MACHINE_PRESETS, MachineConfig
 from repro.registry import Registry
 from repro.runtime.session import Session
 from repro.workloads import get_workload
+
+
+#: Axes grids a sweep must reject (with the error text) rather than
+#: answer: ``width`` bound by two axes, an axis with no values, and a
+#: null value (which would silently mean "the base machine's width").
+MALFORMED_SWEEP_AXES = [
+    ({"width": [1, 3], "width,l2_size": [[2, "1MB"]]}, "more than one axis"),
+    ({"width": []}, "no values"),
+    ({"width": [None, 2]}, "null is not a value"),
+]
+
+#: Axis keys (plain, coupled, size-string and ``name``) and their values
+#: for the randomized sweep-expansion test.
+SWEEP_AXIS_POOL = {
+    "width": [1, 2, 3, 4],
+    "l2_associativity": [4, 8, 16],
+    "branch_predictor": ["global_1kb", "hybrid_3.5kb"],
+    "l2_size": ["128KB", "256KB", 262144, "1MB"],
+    "l1d_size": ["16KB", 32768],
+    "pipeline_stages,frequency_mhz": [(5, 600), (7, 800), (9, 1000)],
+    "name": ["a", "b", "c"],
+}
 
 
 @pytest.fixture(scope="module")
@@ -312,9 +343,11 @@ class TestSweep:
 
     def test_design_space_to_sweep_preserves_configurations(self):
         space = reduced_design_space()
-        sweep = space.to_sweep(("sha",), backends=("analytical", "simulator"))
+        specs = space.specs(range(len(space)))
+        sweep = api.SweepRequest.make(("sha",), machines=specs,
+                                      backends=("analytical", "simulator"))
         resolved = sweep.configurations()
-        expected = space.configurations()
+        expected = [spec.resolve() for spec in specs]
         assert resolved == expected
         assert [m.name for m in resolved] == [m.name for m in expected]
         assert len(sweep) == len(expected) * 2
@@ -322,27 +355,71 @@ class TestSweep:
         assert api.SweepRequest.from_json(sweep.to_json()) == sweep
 
     def test_sweep_batch_matches_explorer(self):
-        """The sweep adapter answers exactly what the explorer answers."""
-        from repro.dse.explorer import DesignSpaceExplorer
-
+        """The planned sweep answers exactly what a per-point loop over the
+        backends answers (the reference computation)."""
         space = reduced_design_space()
-        configurations = space.configurations()[:4]
+        specs = space.specs(range(4))
         session = Session()
-        explorer = DesignSpaceExplorer(configurations, session=session)
         workload = get_workload("sha")
-        points = explorer.evaluate(workload, simulate=True)
+        reference = [
+            (get_backend("analytical").evaluate(session, workload, machine,
+                                                with_power=False),
+             get_backend("simulator").evaluate(session, workload, machine,
+                                               with_power=False))
+            for machine in (spec.resolve() for spec in specs)
+        ]
 
         sweep = api.SweepRequest(
             workloads=(api.WorkloadSpec("sha"),),
-            machines=tuple(api.MachineSpec.from_machine(machine)
-                           for machine in configurations),
+            machines=tuple(specs),
             backends=("analytical", "simulator"),
         )
         results = api.evaluate_many(sweep.expand(), session=session)
-        for point, predicted, simulated in zip(points, results[0::2], results[1::2]):
-            assert predicted.cpi == point.model_cpi
-            assert simulated.cpi == point.simulated_cpi
-            assert predicted.machine == point.machine.name
+        for (model, detailed), predicted, simulated in zip(
+                reference, results[0::2], results[1::2]):
+            assert predicted.cpi == model.cpi
+            assert simulated.cpi == detailed.cpi
+            assert predicted.machine == model.machine.name
+
+    @pytest.mark.parametrize("axes, message", MALFORMED_SWEEP_AXES,
+                             ids=["overlapping-axes", "empty-axis", "null-value"])
+    def test_malformed_axes_are_rejected(self, axes, message):
+        sweep = api.SweepRequest.from_dict({"workloads": ["sha"], "axes": axes})
+        with pytest.raises(ValueError, match=message):
+            sweep.expand()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_axes_expand_like_a_cross_product(self, data):
+        """Axes grids decode through ``SearchSpace``; the expansion must
+        equal a plain row-major cross product with sweep-style names."""
+        keys = data.draw(st.lists(st.sampled_from(sorted(SWEEP_AXIS_POOL)),
+                                  min_size=1, max_size=4, unique=True))
+        axes = {key: data.draw(st.lists(st.sampled_from(SWEEP_AXIS_POOL[key]),
+                                        min_size=1, max_size=3, unique=True))
+                for key in keys}
+        base = data.draw(st.fixed_dictionaries(
+            {}, optional={"preset": st.sampled_from(MACHINE_PRESETS.names()),
+                          "l1i_size": st.sampled_from(["16KB", 65536]),
+                          "width": st.sampled_from([1, 2]),
+                          "name": st.just("base")}))
+        sweep = api.SweepRequest.make(["sha"], base=base, axes=axes)
+
+        reference = []
+        for combo in itertools.product(*axes.values()):
+            overrides = {}
+            for key, value in zip(axes, combo):
+                fields = key.split(",")
+                overrides.update(zip(fields, value if len(fields) > 1 else (value,)))
+            if "name" not in overrides:
+                overrides["name"] = ",".join(f"{field}={value}"
+                                             for field, value in overrides.items())
+            reference.append(api.MachineSpec.parse(base).with_overrides(**overrides))
+
+        expanded = [request.machine for request in sweep.expand()]
+        assert expanded == reference
+        assert [spec.overrides["name"] for spec in expanded] == \
+            [spec.overrides["name"] for spec in reference]
 
 
 class TestRegistriesPlugIn:

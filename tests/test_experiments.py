@@ -5,8 +5,11 @@ remains fast; the full runs are available through the benchmark harness and
 the command line interface (whose smoke suite lives in ``test_cli.py``).
 """
 
+import hashlib
+
 import pytest
 
+from repro import accel
 from repro.experiments import (
     ALL_EXPERIMENTS,
     figure3,
@@ -20,7 +23,7 @@ from repro.experiments import (
     table2,
 )
 from repro.machine import MachineConfig
-from repro.runtime import EXPERIMENTS, get_experiment
+from repro.runtime import EXPERIMENTS, Session, get_experiment, run_experiment
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +130,38 @@ class TestSpeedup:
         assert result.model_seconds < result.simulation_seconds
         assert result.speedup_model_only > 50
         assert "Speedup" in speedup.format_result(result)
+
+
+class TestGoldenBytes:
+    """SHA-256 of ``ExperimentResult.to_json()`` for the design-space
+    experiments, captured on both kernel backends before the Table-2
+    space became a ``SearchSpace`` and Figure 9 moved onto
+    ``evaluate_many``.  Every field is deterministic."""
+
+    GOLDEN = {
+        "table2": ({}, "5343be098d6e6319d4ef620ec593954b"
+                       "8a86eca18b2eb322f53429553632d70d"),
+        "figure5": ({"benchmarks": ("sha", "qsort")},
+                    "330c44433a867914fd6072bfb8750202"
+                    "614e2aed433a72be9d219b06f4679481"),
+        "figure9": ({"benchmarks": ("gsm_c",)},
+                    "a678844880146ea16acf3741036cc102"
+                    "84419467fcd6806f0edb37b7f45d8e97"),
+    }
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_result_json_digest(self, name, backend):
+        if not accel.available_backends().get(backend):
+            pytest.skip(f"kernel backend {backend} unavailable")
+        options, golden = self.GOLDEN[name]
+        previous = accel.active_backend()
+        accel.set_backend(backend)
+        try:
+            result = run_experiment(Session(), name, overrides=options)
+        finally:
+            accel.set_backend(previous)
+        assert hashlib.sha256(result.to_json().encode()).hexdigest() == golden
 
 
 class TestRegistry:

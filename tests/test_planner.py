@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.api import evaluate_many
+from repro.api import SweepRequest, evaluate_many
 from repro.api.planner import plan_requests, evaluate_group
 from repro.api.spec import EvalRequest, MachineSpec, WorkloadSpec
 from repro.dse.space import reduced_design_space
@@ -15,8 +15,10 @@ from repro.trace.trace import TRACE_SCHEMA_VERSION, Trace
 from repro.workloads import get_workload
 
 
-def _sweep_requests():
-    return reduced_design_space().to_sweep(["sha", "dijkstra"]).expand()
+def _sweep_requests(workloads=("sha", "dijkstra")):
+    space = reduced_design_space()
+    return SweepRequest.make(workloads,
+                             machines=space.specs(range(len(space)))).expand()
 
 
 def _serialized(results) -> str:
@@ -69,7 +71,7 @@ def test_requests_ordered_by_pass_signature_within_group():
 
 
 def test_single_workload_sweep_splits_across_workers():
-    requests = reduced_design_space().to_sweep(["sha"]).expand()
+    requests = _sweep_requests(["sha"])
     groups = plan_requests(requests, jobs=4)
     assert len(groups) > 1
     seen = sorted(index for group in groups for index in group.indices)

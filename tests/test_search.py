@@ -1,8 +1,7 @@
 """End-to-end design-space search: strategies, envelopes, validation.
 
-The two anchor results: the ``exhaustive`` strategy reproduces the
-legacy :class:`~repro.dse.explorer.EDPResult` optimum bit-for-bit
-through the new machinery, and the ``surrogate`` strategy finds the same
+The two anchor results: the ``exhaustive`` strategy reproduces the EDP
+optimum of a plain per-point backend loop bit-for-bit, and the ``surrogate`` strategy finds the same
 Table-2 EDP optimum in at most a third of the exhaustive evaluations —
 deterministically, byte-identical across job counts.
 """
@@ -15,7 +14,8 @@ import pytest
 
 from repro import api
 from repro.bench import _synthetic_search_space
-from repro.dse import DesignSpaceExplorer, default_design_space, reduced_design_space
+from repro.api.backends import get_backend
+from repro.dse import default_design_space, reduced_design_space
 from repro.machine import area_proxy
 from repro.runtime.session import Session
 from repro.search import (
@@ -93,33 +93,35 @@ class TestMetricAccessor:
 
 
 # ----------------------------------------------------------------------
-# Exhaustive golden: the legacy EDP optimum through the new machinery.
+# Exhaustive golden: the EDP optimum of a direct backend loop.
 # ----------------------------------------------------------------------
 class TestExhaustiveGolden:
     def test_matches_legacy_explorer_optimum(self, session):
-        design = reduced_design_space()
-        legacy = DesignSpaceExplorer(
-            design.configurations(), session=session
-        ).explore_edp(get_workload("sha"), simulate=False).best_by_model()
+        space = reduced_design_space()
+        workload = get_workload("sha")
+        backend = get_backend("analytical")
+        points = [backend.evaluate(session, workload, spec.resolve(),
+                                   with_power=True)
+                  for spec in space.specs(range(len(space)))]
+        reference = min(points, key=lambda point: point.edp)
 
         result = optimize(OptimizeRequest(
-            space=design.to_search_space(), workload=api.WorkloadSpec("sha"),
+            space=space, workload=api.WorkloadSpec("sha"),
             objectives=(api_objective("edp"),), strategy="exhaustive",
-            budget=len(design),
+            budget=len(space),
         ), session=session)
 
-        assert result.evaluations == result.cardinality == len(design)
+        assert result.evaluations == result.cardinality == len(space)
         assert result.best is not None
-        assert result.best["machine"] == legacy.machine.name
-        assert result.best["objectives"]["edp"] == \
-            pytest.approx(legacy.model_edp)
+        assert result.best["machine"] == reference.machine.name
+        assert result.best["objectives"]["edp"] == reference.edp
 
     def test_front_is_subset_of_evaluations_and_contains_best(self, session):
-        design = reduced_design_space()
+        space = reduced_design_space()
         result = optimize(OptimizeRequest(
-            space=design.to_search_space(), workload=api.WorkloadSpec("sha"),
+            space=space, workload=api.WorkloadSpec("sha"),
             objectives=(api_objective("edp"), api_objective("max:ipc")),
-            strategy="exhaustive", budget=len(design),
+            strategy="exhaustive", budget=len(space),
         ), session=session)
         indices = [entry["index"] for entry in result.front]
         assert indices == sorted(indices)
@@ -142,7 +144,7 @@ class TestDeterminism:
     @staticmethod
     def _request(strategy: str) -> OptimizeRequest:
         return OptimizeRequest(
-            space=reduced_design_space().to_search_space(),
+            space=reduced_design_space(),
             workload=api.WorkloadSpec("sha"),
             objectives=(api_objective("edp"),),
             strategy=strategy, budget=12, batch=4, seed=7,
@@ -191,7 +193,7 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("seed", sorted(TABLE2))
     def test_table2_surrogate(self, seed, session):
-        space = default_design_space().to_search_space()
+        space = default_design_space()
         request = {"space": space, "budget": 64, "seed": seed}
         assert self._digest(request, session) == self.TABLE2[seed]
 
@@ -207,7 +209,7 @@ class TestGoldenBytes:
 class TestSurrogateConvergence:
     def test_finds_table2_edp_best_in_a_third_of_the_evaluations(
             self, session):
-        space = default_design_space().to_search_space()
+        space = default_design_space()
         common = dict(space=space, workload=api.WorkloadSpec("dijkstra"),
                       objectives=(api_objective("edp"),))
 
@@ -231,7 +233,7 @@ class TestSurrogateConvergence:
 
     def test_machine_constraints_prune_without_spending_budget(self, session):
         result = optimize(OptimizeRequest(
-            space=default_design_space().to_search_space(),
+            space=default_design_space(),
             workload=api.WorkloadSpec("sha"),
             objectives=(api_objective("edp"),),
             constraints=tuple(api_constraint(text) for text in
@@ -361,7 +363,7 @@ class TestEnvelopes:
 
     def test_result_round_trips_through_json(self, session):
         result = optimize(OptimizeRequest(
-            space=reduced_design_space().to_search_space(),
+            space=reduced_design_space(),
             workload=api.WorkloadSpec("sha"),
             objectives=(api_objective("edp"),),
             strategy="random", budget=4, batch=2, seed=1,

@@ -3,13 +3,14 @@
 The load-bearing invariant is the index bijection — ``overrides(i)`` and
 ``index_of`` must be exact inverses over the whole space, including
 coupled and conditional axes — because the surrogate strategy navigates
-the space through indices alone.  The adapter golden pins
-``DesignSpace.to_search_space()`` to the legacy Table-2 enumeration
-bit-for-bit, names included.
+the space through indices alone.  The Table-2 golden pins the
+``repro.dse`` spaces to the digest of the legacy Table-2 enumeration
+(point names plus resolved configs), captured from that enumerator.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import pickle
 
@@ -18,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.spec import MachineSpec
-from repro.dse.space import DesignSpace, default_design_space, reduced_design_space
+from repro.dse.space import default_design_space, reduced_design_space
+from repro.machine import MachineConfig
 from repro.search import Constraint, SearchSpace, SpaceAxis
 
 
@@ -301,21 +303,25 @@ class TestSerialization:
 
 
 class TestDesignSpaceAdapter:
-    """`DesignSpace.to_search_space()` must replay Table 2 bit-for-bit."""
+    """The Table-2 spaces replay the legacy enumeration bit-for-bit.
 
-    @pytest.mark.parametrize("factory", [default_design_space,
-                                         reduced_design_space],
-                             ids=["full", "reduced"])
-    def test_golden_against_legacy_enumeration(self, factory):
-        design: DesignSpace = factory()
-        space = design.to_search_space()
-        legacy = design.configurations()
-        assert space.cardinality() == len(design) == len(legacy)
-        for index, expected in enumerate(legacy):
-            resolved = space.spec(index).resolve()
-            assert resolved == expected
-            assert resolved.name == expected.name
+    The digests hash ``"{name}\\t{config!r}"`` per point, newline-joined
+    in index order, and were captured from the ``itertools.product``
+    enumerator the ``repro.dse`` spaces replaced.
+    """
+
+    @pytest.mark.parametrize("factory, golden", [
+        (default_design_space,
+         "e573a0a79f4e217b6578bf03ade03b4a9b2ebc8b0b625b4051a525399df1a509"),
+        (reduced_design_space,
+         "0597bbb49225a5dca361a73ef3e70a325abe0b223d687e5477e0e33bdb5b5f0e"),
+    ], ids=["full", "reduced"])
+    def test_golden_against_legacy_enumeration(self, factory, golden):
+        space = factory()
+        configs = [spec.resolve() for spec in space.specs(range(len(space)))]
+        lines = "\n".join(f"{config.name}\t{config!r}" for config in configs)
+        assert hashlib.sha256(lines.encode()).hexdigest() == golden
 
     def test_base_spec_matches_design_base(self):
-        space = default_design_space().to_search_space()
-        assert space.base == MachineSpec.from_machine(DesignSpace().base)
+        space = default_design_space()
+        assert space.base == MachineSpec.from_machine(MachineConfig())

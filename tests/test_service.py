@@ -343,6 +343,17 @@ class TestServedEval:
         assert [r.to_dict() for r in served] == [r.to_dict() for r in direct]
         assert [r.machine for r in served] == ["l2_size=256KB", "l2_size=1MB"]
 
+    @pytest.mark.parametrize("axes, message", [
+        ({"width": [1, 3], "width,l2_size": [[2, "1MB"]]}, "more than one axis"),
+        ({"width": []}, "no values"),
+        ({"width": [None, 2]}, "null is not a value"),
+    ], ids=["overlapping-axes", "empty-axis", "null-value"])
+    def test_malformed_sweep_axes_are_400(self, client, axes, message):
+        with pytest.raises(ServiceError) as info:
+            client.sweep({"workloads": ["sha"], "axes": axes})
+        assert info.value.status == 400
+        assert message in info.value.message
+
     def test_unknown_workload_is_400_listing_choices(self, client):
         with pytest.raises(ServiceError) as info:
             client.evaluate({"workload": "nonesuch"})
